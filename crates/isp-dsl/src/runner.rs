@@ -220,7 +220,7 @@ pub fn run_filter_with(
     let mut buffers: Vec<DeviceBuffer> = inputs
         .iter()
         .map(|img| {
-            let buf = DeviceBuffer::from_f32(&img.to_packed_vec());
+            let buf = DeviceBuffer::from_f32_rows((0..h).map(|y| img.row(y)));
             match tex_mode {
                 Some(mode) => buf.with_texture(TexDesc {
                     width: w,
@@ -288,7 +288,7 @@ pub fn run_filter_with(
         ExecMode::Exhaustive => {
             let out = buffers.pop().expect("output buffer");
             Some(
-                Image::from_vec(w, h, out.to_f32())
+                Image::from_vec(w, h, out.into_f32())
                     .expect("output buffer has width*height elements"),
             )
         }
@@ -334,7 +334,7 @@ pub fn run_compiled(
         .collect();
     let mut buffers: Vec<DeviceBuffer> = inputs
         .iter()
-        .map(|img| DeviceBuffer::from_f32(&img.to_packed_vec()))
+        .map(|img| DeviceBuffer::from_f32_rows((0..h).map(|y| img.row(y))))
         .collect();
     buffers.push(DeviceBuffer::zeroed(w * h));
     let cfg = LaunchConfig::for_image(w, h, block);
@@ -356,7 +356,7 @@ pub fn run_compiled(
     let image = match mode {
         ExecMode::Exhaustive => {
             let out = buffers.pop().expect("output buffer");
-            Some(Image::from_vec(w, h, out.to_f32()).expect("sized output"))
+            Some(Image::from_vec(w, h, out.into_f32()).expect("sized output"))
         }
         ExecMode::Sampled => None,
     };

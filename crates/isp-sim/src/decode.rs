@@ -16,11 +16,11 @@
 //! - per-instruction issue costs and counter categories are baked in from
 //!   the [`DeviceSpec`] at decode time.
 //!
-//! Execution reuses a per-worker [`DecodedScratch`] arena across all blocks
-//! the worker processes. The decoded executor is observationally identical
-//! to [`crate::interp::run_block`] — same counters, cycles, write-journal
-//! order and errors — and the tree-walker stays as the reference oracle for
-//! differential testing.
+//! Execution reuses a [`DecodedScratch`] arena across blocks (the launch
+//! path pools arenas process-wide, so they outlive a launch). The decoded
+//! executor is observationally identical to [`crate::interp::run_block`] —
+//! same counters, cycles, write-journal order and errors — and the
+//! tree-walker stays as the reference oracle for differential testing.
 
 use crate::counters::PerfCounters;
 use crate::device::DeviceSpec;
@@ -34,6 +34,7 @@ use isp_ir::{BinOp, CmpOp, Instr, InstrCategory, Operand, SReg, Terminator, Ty, 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::Hasher;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Sentinel block offset meaning "no block" (no reconvergence point / no
 /// stop block). Kernels have far fewer than `u32::MAX` blocks.
@@ -417,6 +418,9 @@ pub struct DecodedKernel {
     pub name: String,
     /// Structural fingerprint of the source kernel (cache key).
     pub fingerprint: u64,
+    /// Identity of this decoding, unique in the process (see
+    /// [`next_decode_id`]): the key a [`DecodedScratch`] is prepared under.
+    id: u64,
     pub(crate) ops: Vec<DOp>,
     blocks: Vec<DBlock>,
     /// Fused dispatch stream (empty when `fuse` is false). The tracing
@@ -733,6 +737,7 @@ pub fn decode_with_fusion(kernel: &Kernel, device: &DeviceSpec, fuse: bool) -> D
     DecodedKernel {
         name: kernel.name.clone(),
         fingerprint: kernel_fingerprint(kernel),
+        id: next_decode_id(),
         ops,
         blocks,
         fops,
@@ -748,6 +753,16 @@ pub fn decode_with_fusion(kernel: &Kernel, device: &DeviceSpec, fuse: bool) -> D
         cost_bar2: device.issue_cost(InstrCategory::Bar2),
         warp_size: device.warp_size,
     }
+}
+
+/// A fresh [`DecodedKernel::id`]. Every decoding — from source or from a
+/// disk-cache entry — gets its own, so an arena prepared for one decoding
+/// is never taken as prepared for another: the fingerprint names the source
+/// kernel, not the fusion flag, register counts and immediates that set the
+/// arena's layout.
+fn next_decode_id() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 /// Which vreg rows can observe state from before the block started. A row
@@ -1253,11 +1268,12 @@ struct DWarp {
     done: bool,
 }
 
-/// Per-worker scratch arena reused across every block the worker processes:
-/// register file (vreg rows + immediate broadcast rows, per warp), shared
-/// memory, per-thread `(tidX, tidY)` tables, warp states. After the first
-/// block of a given (kernel, block_dim), running another block performs no
-/// heap allocation.
+/// Scratch arena reused across every block a worker processes: register
+/// file (vreg rows + immediate broadcast rows, per warp), shared memory,
+/// per-thread `(tidX, tidY)` tables, warp states. After the first block of
+/// a given (decoded kernel, block_dim), running another block performs no
+/// heap allocation; switching to another kernel re-sizes the arena in place
+/// (a memset while its capacity suffices, no new pages).
 #[derive(Debug, Default)]
 pub struct DecodedScratch {
     pub(crate) regs: Vec<u32>,
@@ -1265,6 +1281,8 @@ pub struct DecodedScratch {
     pub(crate) tidx: Vec<u32>,
     pub(crate) tidy: Vec<u32>,
     warps: Vec<DWarp>,
+    /// `(decoded kernel id, block_dim)` of the last
+    /// [`DecodedScratch::prepare`].
     prepared: Option<(u64, (u32, u32))>,
 }
 
@@ -1278,7 +1296,7 @@ impl DecodedScratch {
     /// register file, fill immediate broadcast rows, compute tid tables and
     /// initial lane masks. No-op when the key matches the previous call.
     pub(crate) fn prepare(&mut self, dk: &DecodedKernel, block_dim: (u32, u32)) {
-        let key = (dk.fingerprint, block_dim);
+        let key = (dk.id, block_dim);
         if self.prepared == Some(key) {
             return;
         }
@@ -3336,6 +3354,7 @@ pub(crate) fn decoded_from_json(j: &Json, device: &DeviceSpec) -> Option<Decoded
     Some(DecodedKernel {
         name,
         fingerprint,
+        id: next_decode_id(),
         ops,
         blocks,
         fops,
@@ -3795,6 +3814,36 @@ mod tests {
             assert_eq!(r.counters, base_other.counters);
             assert_eq!(r.writes, base_other.writes);
         }
+    }
+
+    #[test]
+    fn scratch_is_reprepared_for_another_decoding_of_the_same_kernel() {
+        // Two decodings share a fingerprint but not their immediates (as a
+        // disk-cache entry altered after it was written would): an arena
+        // prepared for one must not serve the other's immediate rows.
+        let scale = scale_kernel();
+        let device = DeviceSpec::gtx680();
+        let dk = decode(&scale, &device);
+        let mut altered = decode(&scale, &device);
+        assert_eq!(altered.fingerprint, dk.fingerprint);
+        for bits in &mut altered.imms {
+            *bits = (f32::from_bits(*bits) + 1.0).to_bits();
+        }
+        let input: Vec<f32> = (0..32).map(|i| i as f32).collect();
+        let bufs = vec![DeviceBuffer::from_f32(&input), DeviceBuffer::zeroed(32)];
+        let ctx = DecodedBlockCtx {
+            grid: (1, 1),
+            block_dim: (32, 1),
+            block_idx: (0, 0),
+            params: &[],
+            buffers: &bufs,
+        };
+        let base = run_block_decoded(&altered, &ctx, &mut DecodedScratch::new()).unwrap();
+        let mut scratch = DecodedScratch::new();
+        let first = run_block_decoded(&dk, &ctx, &mut scratch).unwrap();
+        assert_ne!(first.writes, base.writes);
+        let r = run_block_decoded(&altered, &ctx, &mut scratch).unwrap();
+        assert_eq!(r.writes, base.writes);
     }
 
     #[test]

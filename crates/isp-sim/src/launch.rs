@@ -27,7 +27,7 @@ use isp_probe::{BlockSlice, DeoptInstant, ProbeHandle, SimTimeline};
 use rayon::prelude::*;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 
 /// A boxed per-block worker: runs one block by index under whichever
 /// execution engine the launch selected.
@@ -241,6 +241,67 @@ pub struct LaunchReport {
     pub per_class_trace: Vec<(u32, TraceStats)>,
 }
 
+/// Decoded-kernel cache shared across a `Gpu` clone family, keyed by
+/// (kernel fingerprint, fusion flag).
+type DecodeCache = Arc<Mutex<HashMap<(u64, bool), Arc<DecodedKernel>>>>;
+
+/// The decoded engines' scratch arenas, shared by every live [`Gpu`] in
+/// the process (see [`ScratchPool::shared`]). A block worker borrows one
+/// arena per block and gives it back, so the pool never holds more arenas
+/// than workers have run at once — one per running worker, not one per
+/// chunk, launch or `Gpu`. The pool is not keyed by kernel: a borrowed arena
+/// last used for another kernel is re-prepared in place
+/// ([`DecodedScratch::prepare`]: a memset, no new pages while its capacity
+/// suffices), so the memory kept is bounded by worker count x the largest
+/// register file seen.
+#[derive(Default)]
+struct ScratchPool(Mutex<Vec<DecodedScratch>>);
+
+impl ScratchPool {
+    /// The pool every live `Gpu` shares; it is freed with the last of them.
+    /// One pool per process, not one per `Gpu`: engines that live side by
+    /// side (one per device, one per serving shard) but launch in turn would
+    /// otherwise each keep a full set of register files while idle.
+    fn shared() -> Arc<ScratchPool> {
+        static POOL: Mutex<Weak<ScratchPool>> = Mutex::new(Weak::new());
+        let mut slot = POOL
+            .lock()
+            .expect("scratch pool registry is never held across a panic");
+        slot.upgrade().unwrap_or_else(|| {
+            let pool = Arc::new(ScratchPool::default());
+            *slot = Arc::downgrade(&pool);
+            pool
+        })
+    }
+
+    /// Run `f` on a borrowed arena — the last one returned, or a new,
+    /// empty one when every arena is out — then return it to the pool.
+    fn with<R>(&self, f: impl FnOnce(&mut DecodedScratch) -> R) -> R {
+        let mut scratch = self.arenas().pop().unwrap_or_default();
+        let out = f(&mut scratch);
+        self.arenas().push(scratch);
+        out
+    }
+
+    fn len(&self) -> usize {
+        self.arenas().len()
+    }
+
+    fn arenas(&self) -> std::sync::MutexGuard<'_, Vec<DecodedScratch>> {
+        // The lock only ever guards a pop, push or len — never a block run —
+        // so no panic can happen while it is held.
+        self.0
+            .lock()
+            .expect("scratch pool lock is never held across a panic")
+    }
+}
+
+impl std::fmt::Debug for ScratchPool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "ScratchPool({} arenas)", self.len())
+    }
+}
+
 /// A simulated GPU: a device spec, an execution engine, and launch
 /// machinery. Cloning a `Gpu` shares its decode cache (and stats), so a
 /// pipeline may hand clones to workers without re-decoding kernels.
@@ -253,10 +314,10 @@ pub struct LaunchReport {
 /// affine classes and range guards; buffer *contents* are not, because the
 /// replay guards re-validate every access against the live buffers and
 /// deopt on any divergence — reuse is always bit-exact.
-/// Decoded-kernel cache shared across a `Gpu` clone family, keyed by
-/// (kernel fingerprint, fusion flag).
-type DecodeCache = Arc<Mutex<HashMap<(u64, bool), Arc<DecodedKernel>>>>;
-
+///
+/// The decoded engines' scratch arenas are pooled across every live `Gpu`
+/// in the process (see [`Gpu::pooled_scratch_arenas`]), so a warm launch
+/// allocates no register file.
 #[derive(Debug, Clone)]
 pub struct Gpu {
     device: DeviceSpec,
@@ -268,6 +329,9 @@ pub struct Gpu {
     /// Keyed by (fingerprint, fusion) so a clone family mixing fused and
     /// unfused launches never serves the wrong decoding.
     decode_cache: DecodeCache,
+    /// Register-file arenas borrowed by decoded/replay block workers
+    /// (the process-wide pool).
+    scratch: Arc<ScratchPool>,
     decode_hits: Arc<AtomicU64>,
     decode_misses: Arc<AtomicU64>,
     /// Decode-time fusion totals over all cold decodes (groups, fused ops,
@@ -316,6 +380,7 @@ impl Gpu {
             probe: ProbeHandle::none(),
             fusion: true,
             decode_cache: Arc::new(Mutex::new(HashMap::new())),
+            scratch: ScratchPool::shared(),
             decode_hits: Arc::new(AtomicU64::new(0)),
             decode_misses: Arc::new(AtomicU64::new(0)),
             fused_groups: Arc::new(AtomicU64::new(0)),
@@ -578,6 +643,14 @@ impl Gpu {
         self.trace_xlaunch.load(Ordering::Relaxed)
     }
 
+    /// Decoded scratch arenas parked in the pool this `Gpu` shares with every
+    /// other live `Gpu` in the process: between launches, at most the number
+    /// of block workers that have run at once, whichever kernels and `Gpu`s
+    /// they ran for.
+    pub fn pooled_scratch_arenas(&self) -> usize {
+        self.scratch.len()
+    }
+
     /// Launch `kernel` over `cfg`. See [`SimMode`] for the modes.
     /// Exhaustive interpretation fans out in parallel; use
     /// [`Gpu::launch_with`] to force the serial reference strategy.
@@ -739,7 +812,7 @@ impl Gpu {
         let want_outcomes = self.probe.is_enabled();
 
         let mut per_class_trace: Vec<(u32, TraceStats)> = Vec::new();
-        let (counters, per_class, costs, writes, outcomes) = match engine {
+        let (counters, per_class, costs, journals, outcomes) = match engine {
             ExecEngine::Reference => {
                 let shared: &[DeviceBuffer] = buffers;
                 let worker = |idx: u64| {
@@ -799,10 +872,11 @@ impl Gpu {
                     }
                 });
                 // Chunked fold: each worker folds a contiguous run of block
-                // indices through one ChunkAcc, reusing its scratch arena for
-                // every block — zero per-block allocation in steady state.
-                // Chunk accumulators come back in input order, so
-                // concatenating them reproduces dispatch order exactly.
+                // indices through one ChunkAcc, borrowing a pooled scratch
+                // arena for each block — zero allocation in steady state.
+                // Chunk accumulators come back in input order, so applying
+                // their journals one after another reproduces dispatch order
+                // exactly.
                 let fold_op = |mut acc: ChunkAcc, idx: u64| {
                     if acc.err.is_some() {
                         return acc;
@@ -817,7 +891,7 @@ impl Gpu {
                         buffers: shared,
                     };
                     let journal_mark = acc.writes.len();
-                    let run = match &traces {
+                    let run = self.scratch.with(|scratch| match &traces {
                         Some(traces) => run_block_replay(
                             &dk,
                             &ctx,
@@ -825,7 +899,7 @@ impl Gpu {
                             traces,
                             &mut acc.classes,
                             &mut acc.trace_xlaunch,
-                            &mut acc.scratch,
+                            scratch,
                             &mut acc.writes,
                             &self.probe,
                             self.guard_batching,
@@ -840,18 +914,12 @@ impl Gpu {
                                     prev2: 0,
                                     seq: &mut acc.opseq,
                                 };
-                                run_decoded_traced(
-                                    &dk,
-                                    &ctx,
-                                    &mut acc.scratch,
-                                    &mut acc.writes,
-                                    &mut prof,
-                                )
+                                run_decoded_traced(&dk, &ctx, scratch, &mut acc.writes, &mut prof)
                             }
-                            None => run_decoded(&dk, &ctx, &mut acc.scratch, &mut acc.writes),
+                            None => run_decoded(&dk, &ctx, scratch, &mut acc.writes),
                         }
                         .map(|(c, cycles)| (Some(c), cycles, OUT_RUN)),
-                    };
+                    });
                     match run {
                         Ok((c, cycles, outcome)) => {
                             // Replayed blocks return no counter set — their
@@ -954,7 +1022,10 @@ impl Gpu {
             }
         };
 
-        for (buf, addr, bits) in writes {
+        // Every chunk (or block) succeeded — the reducers return early on
+        // any error, so an erroring launch writes nothing. Apply each
+        // journal where it lies, in dispatch order.
+        for (buf, addr, bits) in journals.into_iter().flatten() {
             buffers[buf as usize].store_bits(addr, bits);
         }
         let timing = if want_outcomes {
@@ -1055,8 +1126,8 @@ impl Gpu {
         }
 
         // Interpret each representative once (in parallel), through
-        // whichever engine the launch selected. Representatives are
-        // independent, so each decoded rep gets a fresh scratch arena.
+        // whichever engine the launch selected. Decoded reps borrow their
+        // scratch arena from the pool, like exhaustive blocks do.
         let run_rep: BlockWorker<'_> = match engine {
             ExecEngine::Reference => Box::new(move |block_idx| {
                 run_block(&BlockContext {
@@ -1075,18 +1146,15 @@ impl Gpu {
             ExecEngine::Decoded | ExecEngine::Replay => {
                 let dk = self.decode(kernel);
                 Box::new(move |block_idx| {
-                    let mut scratch = DecodedScratch::new();
-                    run_block_decoded(
-                        &dk,
-                        &DecodedBlockCtx {
-                            grid: cfg.grid,
-                            block_dim: cfg.block,
-                            block_idx,
-                            params,
-                            buffers,
-                        },
-                        &mut scratch,
-                    )
+                    let ctx = DecodedBlockCtx {
+                        grid: cfg.grid,
+                        block_dim: cfg.block,
+                        block_idx,
+                        params,
+                        buffers,
+                    };
+                    self.scratch
+                        .with(|scratch| run_block_decoded(&dk, &ctx, scratch))
                 })
             }
         };
@@ -1217,12 +1285,15 @@ fn launch_trace_key(kernel_fp: u64, cfg: LaunchConfig, params: &[ParamValue]) ->
     h.finish()
 }
 
-/// Per-worker accumulator of the decoded exhaustive path: one of these folds
-/// a contiguous chunk of block indices, so its scratch arena is prepared
-/// once and then reused — memset, not malloc — for every block in the chunk.
+/// Per-chunk accumulator of the decoded exhaustive path: one of these folds
+/// a contiguous chunk of block indices. It owns no scratch arena — each
+/// block borrows one from the [`ScratchPool`], which re-prepares it in
+/// place (memset, not malloc) only when its last block ran another decoded
+/// kernel or block shape. Its write journal stays its own: the
+/// launch applies the chunk journals in chunk order rather than joining
+/// them into one buffer.
 #[derive(Default)]
 struct ChunkAcc {
-    scratch: DecodedScratch,
     counters: FlatCounters,
     per_class: HashMap<u32, FlatCounters>,
     cycles: Vec<u64>,
@@ -1428,26 +1499,32 @@ fn run_block_replay(
     }
 }
 
-/// The deterministic reducer of a decoded exhaustive launch: concatenate the
+/// A write journal: `(buffer, element, bits)` stores in execution order.
+type Journal = Vec<(u32, usize, u32)>;
+
+/// What an exhaustive reducer returns: aggregate counters, per-class
+/// counters, the scheduler's per-block costs, the write journals in
+/// dispatch order (one per chunk or block, applied where they lie) and the
+/// per-block outcome codes.
+type Reduced = (
+    PerfCounters,
+    Vec<(u32, PerfCounters)>,
+    Vec<BlockCost>,
+    Vec<Journal>,
+    Vec<u8>,
+);
+
+/// The deterministic reducer of a decoded exhaustive launch: fold the
 /// per-chunk accumulators **in chunk order** (chunks are contiguous
 /// ascending index ranges, so chunk order is dispatch order). The first
 /// error in chunk order is the first error in dispatch order — exactly what
-/// [`reduce_block_runs`] reports — and an erroring launch applies no writes.
-#[allow(clippy::type_complexity)]
+/// [`reduce_block_runs`] reports — and an erroring launch returns no
+/// journals. The chunk journals are handed back as they are, not joined.
 fn reduce_chunk_accs(
     static_footprint: u32,
     classified: bool,
     accs: Vec<ChunkAcc>,
-) -> Result<
-    (
-        PerfCounters,
-        Vec<(u32, PerfCounters)>,
-        Vec<BlockCost>,
-        Vec<(u32, usize, u32)>,
-        Vec<u8>,
-    ),
-    SimError,
-> {
+) -> Result<Reduced, SimError> {
     for acc in &accs {
         if let Some(e) = &acc.err {
             return Err(e.clone());
@@ -1456,7 +1533,7 @@ fn reduce_chunk_accs(
     let mut flat = FlatCounters::default();
     let mut by_class: HashMap<u32, FlatCounters> = HashMap::new();
     let mut costs = Vec::new();
-    let mut writes: Vec<(u32, usize, u32)> = Vec::new();
+    let mut journals = Vec::with_capacity(accs.len());
     let mut outcomes: Vec<u8> = Vec::new();
     for acc in accs {
         flat.merge(&acc.counters);
@@ -1479,13 +1556,7 @@ fn reduce_chunk_accs(
             cycles,
             static_footprint,
         }));
-        // A serial launch has exactly one chunk: move its journal out
-        // instead of copying it (journals dominate reducer traffic).
-        if writes.is_empty() {
-            writes = acc.writes;
-        } else {
-            writes.extend(acc.writes);
-        }
+        journals.push(acc.writes);
         outcomes.extend(acc.outcomes);
     }
     let mut per_class: Vec<(u32, PerfCounters)> = by_class
@@ -1493,35 +1564,25 @@ fn reduce_chunk_accs(
         .map(|(c, fc)| (c, fc.to_perf()))
         .collect();
     per_class.sort_unstable_by_key(|&(c, _)| c);
-    Ok((flat.to_perf(), per_class, costs, writes, outcomes))
+    Ok((flat.to_perf(), per_class, costs, journals, outcomes))
 }
 
 /// The deterministic reducer of a reference exhaustive launch: fold
 /// per-block results **in dispatch order** into merged counters, the
-/// scheduler's cost list, and a concatenated write journal. Because the fold
+/// scheduler's cost list, and the per-block write journals. Because the fold
 /// order is fixed, the reduction is bitwise independent of how the workers
 /// were scheduled. When `classes` labels each run (same order), every
 /// block's counters are also merged into its class's entry, so the per-class
 /// sets sum bit-identically to the aggregate.
-#[allow(clippy::type_complexity)]
 fn reduce_block_runs(
     static_footprint: u32,
     runs: Vec<Result<BlockRun, SimError>>,
     classes: Option<&[u32]>,
-) -> Result<
-    (
-        PerfCounters,
-        Vec<(u32, PerfCounters)>,
-        Vec<BlockCost>,
-        Vec<(u32, usize, u32)>,
-        Vec<u8>,
-    ),
-    SimError,
-> {
+) -> Result<Reduced, SimError> {
     let mut counters = PerfCounters::new();
     let mut by_class: HashMap<u32, PerfCounters> = HashMap::new();
     let mut costs = Vec::with_capacity(runs.len());
-    let mut writes: Vec<(u32, usize, u32)> = Vec::new();
+    let mut journals = Vec::with_capacity(runs.len());
     for (i, run) in runs.into_iter().enumerate() {
         let run = run?;
         counters.merge(&run.counters);
@@ -1533,13 +1594,13 @@ fn reduce_block_runs(
             cycles: run.cycles,
             static_footprint,
         });
-        writes.extend(run.writes);
+        journals.push(run.writes);
     }
     let mut per_class: Vec<(u32, PerfCounters)> = by_class.into_iter().collect();
     per_class.sort_unstable_by_key(|&(c, _)| c);
     // Reference blocks have no replay machinery: every block is a plain
     // run, so the timeline derives outcomes as `OUT_RUN` without a vector.
-    Ok((counters, per_class, costs, writes, Vec::new()))
+    Ok((counters, per_class, costs, journals, Vec::new()))
 }
 
 #[cfg(test)]

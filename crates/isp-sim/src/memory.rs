@@ -88,6 +88,22 @@ impl DeviceBuffer {
         }
     }
 
+    /// Upload `f32` rows laid end to end, in one pass over the source (no
+    /// packed intermediate copy) into a buffer allocated once at its exact
+    /// size: how a strided image reaches the device.
+    pub fn from_f32_rows<'a, I>(rows: I) -> Self
+    where
+        I: IntoIterator<Item = &'a [f32]>,
+        I::IntoIter: Clone,
+    {
+        let rows = rows.into_iter();
+        let mut bits = Vec::with_capacity(rows.clone().map(<[f32]>::len).sum());
+        for row in rows {
+            bits.extend(row.iter().map(|v| v.to_bits()));
+        }
+        DeviceBuffer { bits, tex: None }
+    }
+
     /// Upload a slice of `i32` values.
     pub fn from_i32(data: &[i32]) -> Self {
         DeviceBuffer {
@@ -165,6 +181,14 @@ impl DeviceBuffer {
     /// Download as `f32` values.
     pub fn to_f32(&self) -> Vec<f32> {
         self.bits.iter().map(|&b| f32::from_bits(b)).collect()
+    }
+
+    /// Download as `f32` values, consuming the buffer: the element storage
+    /// is reinterpreted in place rather than copied.
+    pub fn into_f32(self) -> Vec<f32> {
+        // `u32 -> f32` keeps size and alignment, so the standard library
+        // collects this map into the source allocation.
+        self.bits.into_iter().map(f32::from_bits).collect()
     }
 
     /// Download as `i32` values.
@@ -263,6 +287,18 @@ mod tests {
         assert_eq!(b.to_f32(), vec![1.5, -2.25, 0.0]);
         let b = DeviceBuffer::from_i32(&[-1, 7]);
         assert_eq!(b.to_i32(), vec![-1, 7]);
+    }
+
+    #[test]
+    fn row_upload_and_consuming_download_match_the_copying_forms() {
+        // Rows of a strided 3x2 image (stride 4): padding never uploads.
+        let raw = [1.5f32, -0.0, f32::NAN, 9.0, 4.0, 5.0, 6.0, 9.0];
+        let b = DeviceBuffer::from_f32_rows(raw.chunks(4).map(|r| &r[..3]));
+        let packed = [1.5f32, -0.0, f32::NAN, 4.0, 5.0, 6.0];
+        assert_eq!(b, DeviceBuffer::from_f32(&packed));
+        assert_eq!(b.bits.capacity(), packed.len(), "allocated once, exactly");
+        let bits = |v: Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(b.clone().into_f32()), bits(b.to_f32()));
     }
 
     #[test]
